@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
+import repro.core.Sweep.{sweep, withGraph}
 import repro.graph.CompactGraph
 import repro.truss.LocalTruss
 import scala.util.Random
@@ -22,25 +23,14 @@ object Baselines {
   /** Max trussness gain over `trials` random b-subsets of `pool`. */
   def maxGainOverTrials(spark: SparkSession, g: CompactGraph, pool: Array[Int],
                         b: Int, trials: Int, seed: Long): Long = {
-    import spark.implicits._
-    val sc = spark.sparkContext
-    val gB = sc.broadcast(g)
-    val poolB = sc.broadcast(pool)
-    val baseDec = LocalTruss.decompose(g)
-    val baseB = sc.broadcast(baseDec)
-    spark.createDataset(0 until trials)
-      .repartition(sc.defaultParallelism)
-      .mapPartitions { it =>
-        val graph = gB.value
-        val base = baseB.value
-        it.map { trial =>
-          val rnd = new Random(seed * 1000003L + trial)
-          val picked = rnd.shuffle(poolB.value.toVector).take(math.min(b, poolB.value.length))
-          LocalTruss.trussGain(graph, base, LocalTruss.anchorMask(graph.m, picked))
-        }
-      }
-      .collect()
-      .max
+    val base = LocalTruss.decompose(g)
+    val k = math.min(b, pool.length)
+    withGraph(spark.sparkContext, g) { gB =>
+      sweep(spark.sparkContext, gB, 0 until trials) { graph => trial =>
+        val picked = new Random(seed * 1000003L + trial).shuffle(pool.toVector).take(k)
+        LocalTruss.trussGain(graph, base, LocalTruss.anchorMask(graph.m, picked))
+      }.max
+    }
   }
 
   def rand(spark: SparkSession, g: CompactGraph, b: Int, trials: Int, seed: Long = 7L): Long =

@@ -1,8 +1,10 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
+import repro.core.Sweep.{sweep, withGraph}
 import repro.graph.CompactGraph
 import repro.truss.LocalTruss
+import scala.math.Ordering.Implicits.seqOrdering
 
 /** The Exact algorithm (Exp-2): exhaustively evaluate every b-subset of
   * edges and return the optimum trussness gain. Exponential — only usable
@@ -15,24 +17,16 @@ object Exact {
 
   final case class Result(anchors: Seq[Int], gain: Long, combosTried: Long)
 
+  /** Ties on the gain go to the numerically smallest ascending id list. */
   def run(spark: SparkSession, g: CompactGraph, b: Int): Result = {
-    import spark.implicits._
-    val sc = spark.sparkContext
-    val gB = sc.broadcast(g)
     val base = LocalTruss.decompose(g)
-    val baseB = sc.broadcast(base)
-    val combos = (0 until g.m).combinations(b).map(_.toArray).toArray
-    val scored = spark.createDataset(combos.toSeq)
-      .repartition(sc.defaultParallelism)
-      .mapPartitions { it =>
-        val graph = gB.value
-        val baseDec = baseB.value
-        it.map { ids =>
-          (ids, LocalTruss.trussGain(graph, baseDec, LocalTruss.anchorMask(graph.m, ids)))
-        }
+    val combos = (0 until g.m).combinations(b).toIndexedSeq
+    val gains = withGraph(spark.sparkContext, g) { gB =>
+      sweep(spark.sparkContext, gB, combos) { graph => ids =>
+        LocalTruss.trussGain(graph, base, LocalTruss.anchorMask(graph.m, ids))
       }
-      .collect()
-    val (bestIds, bestGain) = scored.minBy { case (ids, gain) => (-gain, ids.toSeq.toString) }
-    Result(bestIds.toSeq, bestGain, combos.length.toLong)
+    }
+    val best = combos.indices.minBy(i => (-gains(i), combos(i)))
+    Result(combos(best), gains(best), combos.length.toLong)
   }
 }

@@ -1,6 +1,9 @@
 package repro.core
 
+import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
+import repro.core.Sweep.{sweep, withGraph}
 import repro.graph.CompactGraph
 import repro.truss.LocalTruss
 import scala.collection.mutable
@@ -14,15 +17,15 @@ import scala.collection.mutable
   *  - [[gas]]    — Algorithm 6: BASE+ plus the truss-component tree and
   *                 cross-round result reuse of Algorithms 4-5.
   *
-  * All three share one deterministic tie-break (max gain, then smallest edge
-  * id), so their anchor sequences are comparable edge-for-edge; property
-  * tests assert GAS ≡ BASE+ ≡ BASE.
+  * All three run one loop and differ only in their [[Scorer]]. The loop's
+  * tie-break (max score, then smallest edge id) makes their anchor
+  * sequences comparable edge-for-edge; property tests assert
+  * GAS ≡ BASE+ ≡ BASE.
   *
   * The per-round candidate sweep (`for each e ∈ E\A`) is the bulk-parallel
-  * part: candidates are shipped as a `Dataset` and evaluated in
-  * `mapPartitions` tasks over a broadcast [[CompactGraph]] with per-round
-  * broadcast trussness/layer arrays; the driver keeps only the greedy
-  * selection and (for GAS) the tree/reuse bookkeeping.
+  * part: each scorer evaluates its candidates with [[Sweep.sweep]] over the
+  * broadcast [[CompactGraph]]; the driver keeps only the greedy selection
+  * and (for GAS) the tree/reuse bookkeeping.
   */
 object Greedy {
 
@@ -41,192 +44,141 @@ object Greedy {
     def totalEvaluations: Long = rounds.map(_.evaluated.toLong).sum
   }
 
-  /** Exact TG(A, G) for a finished anchor mask. */
-  private def finalGain(g: CompactGraph, anchors: Array[Boolean]): Long =
-    LocalTruss.trussGain(g, LocalTruss.decompose(g), anchors)
+  /** How one greedy variant scores a round's candidates. */
+  private trait Scorer {
+    /** The score of each candidate (aligned with the ascending
+      * `candidates`), and how many of them were served wholly from a cache
+      * instead of being evaluated.
+      */
+    def score(candidates: IndexedSeq[Int], anchors: Array[Boolean]): (Array[Long], Int)
 
-  // ---------------------------------------------------------------- BASE
+    /** Called once `x` is anchored (`anchors` already includes it). */
+    def anchored(x: Int, anchors: Array[Boolean]): Unit = ()
+  }
+
+  /** The loop of Algorithms 2 and 6: score every non-anchored edge, anchor
+    * the best, repeat `b` times (or until every edge is an anchor).
+    */
+  private def greedy(spark: SparkSession, g: CompactGraph, b: Int)
+                    (scorer: Broadcast[CompactGraph] => Scorer): Result =
+    withGraph(spark.sparkContext, g) { gB =>
+      val s = scorer(gB)
+      val anchors = new Array[Boolean](g.m)
+      val rounds = (1 to math.min(b, g.m)).map { round =>
+        val t0 = System.nanoTime()
+        val candidates = (0 until g.m).filterNot(anchors(_))
+        val (scores, reused) = s.score(candidates, anchors)
+        // maxBy keeps the first maximum: the smallest edge id among the best
+        val best = scores.indices.maxBy(scores(_))
+        val x = candidates(best)
+        anchors(x) = true
+        s.anchored(x, anchors)
+        RoundStats(round, x, scores(best), candidates.size - reused, reused,
+                   (System.nanoTime() - t0) / 1000000)
+      }
+      Result(rounds.map(_.anchor), LocalTruss.trussGain(g, LocalTruss.decompose(g), anchors), rounds)
+    }
 
   /** Algorithm 2: full truss decomposition per candidate per round. */
-  def base(spark: SparkSession, g: CompactGraph, b: Int): Result = {
-    import spark.implicits._
-    val sc = spark.sparkContext
-    val gB = sc.broadcast(g)
-    val anchors = new Array[Boolean](g.m)
-    val picked = mutable.ArrayBuffer.empty[Int]
-    val rounds = mutable.ArrayBuffer.empty[RoundStats]
-    var gain = 0L
-    for (round <- 1 to math.min(b, g.m)) {
-      val t0 = System.nanoTime()
-      val curDec = LocalTruss.decompose(g, anchors)
-      val curB = sc.broadcast(curDec)
-      val anchorsB = sc.broadcast(anchors.clone())
-      val candidates = (0 until g.m).filter(!anchors(_))
-      val gains = spark.createDataset(candidates)
-        .repartition(sc.defaultParallelism)
-        .mapPartitions { it =>
-          val graph = gB.value
-          val baseDec = curB.value
-          it.map { e =>
-            val mask = anchorsB.value.clone(); mask(e) = true
-            (e, LocalTruss.trussGain(graph, baseDec, mask))
-          }
-        }
-        .collect()
-      val (bestE, bestGain) = gains.minBy { case (e, gl) => (-gl, e) }
-      anchors(bestE) = true
-      picked += bestE
-      gain += bestGain
-      rounds += RoundStats(round, bestE, bestGain, candidates.size, 0,
-                           (System.nanoTime() - t0) / 1000000)
-      curB.destroy(); anchorsB.destroy()
+  def base(spark: SparkSession, g: CompactGraph, b: Int): Result =
+    greedy(spark, g, b) { gB => (candidates, anchors) =>
+      val dec = LocalTruss.decompose(g, anchors)
+      val gains = sweep(spark.sparkContext, gB, candidates) { graph => e =>
+        val mask = anchors.clone(); mask(e) = true
+        LocalTruss.trussGain(graph, dec, mask)
+      }
+      (gains, 0)
     }
-    Result(picked.toSeq, finalGain(g, anchors), rounds.toSeq)
-  }
-
-  // --------------------------------------------------------------- BASE+
 
   /** BASE with upward-route/support-check follower computation (Alg. 3). */
-  def basePlus(spark: SparkSession, g: CompactGraph, b: Int): Result = {
-    import spark.implicits._
-    val sc = spark.sparkContext
-    val gB = sc.broadcast(g)
-    val anchors = new Array[Boolean](g.m)
-    val picked = mutable.ArrayBuffer.empty[Int]
-    val rounds = mutable.ArrayBuffer.empty[RoundStats]
-    var gain = 0L
-    for (round <- 1 to math.min(b, g.m)) {
-      val t0 = System.nanoTime()
+  def basePlus(spark: SparkSession, g: CompactGraph, b: Int): Result =
+    greedy(spark, g, b) { gB => (candidates, anchors) =>
       val dec = LocalTruss.decompose(g, anchors)
-      val trussB = sc.broadcast(dec.truss)
-      val layerB = sc.broadcast(dec.layer)
-      val candidates = (0 until g.m).filter(!anchors(_))
-      val counts = spark.createDataset(candidates)
-        .repartition(sc.defaultParallelism)
-        .mapPartitions { it =>
-          val finder = new FollowerFinder(gB.value)
-          val t = trussB.value; val l = layerB.value
-          it.map(e => (e, finder.find(t, l, e).count))
-        }
-        .collect()
-      val (bestE, bestGain) = counts.minBy { case (e, c) => (-c, e) }
-      anchors(bestE) = true
-      picked += bestE
-      gain += bestGain
-      rounds += RoundStats(round, bestE, bestGain, candidates.size, 0,
-                           (System.nanoTime() - t0) / 1000000)
-      trussB.destroy(); layerB.destroy()
+      val (t, l) = (dec.truss, dec.layer)
+      val counts = sweep(spark.sparkContext, gB, candidates) { graph =>
+        val finder = new FollowerFinder(graph)
+        e => finder.find(t, l, e).count.toLong
+      }
+      (counts, 0)
     }
-    Result(picked.toSeq, finalGain(g, anchors), rounds.toSeq)
-  }
-
-  // ----------------------------------------------------------------- GAS
 
   /** Algorithm 6: greedy with tree-based cross-round result reuse. */
-  def gas(spark: SparkSession, g: CompactGraph, b: Int): Result = {
-    import spark.implicits._
-    val sc = spark.sparkContext
-    val gB = sc.broadcast(g)
-    val anchors = new Array[Boolean](g.m)
-    val picked = mutable.ArrayBuffer.empty[Int]
-    val rounds = mutable.ArrayBuffer.empty[RoundStats]
-    var gain = 0L
+  def gas(spark: SparkSession, g: CompactGraph, b: Int): Result =
+    greedy(spark, g, b)(gB => new GasScorer(spark.sparkContext, gB, g))
 
-    var state = FollowerReuse.initial(g, anchors)
+  /** GAS's scorer: per-node follower counts cached across rounds, with only
+    * the tree nodes invalidated by the last anchor (Algorithm 5) recomputed.
+    */
+  private final class GasScorer(sc: SparkContext, gB: Broadcast[CompactGraph],
+                                g: CompactGraph) extends Scorer {
+    private var state = FollowerReuse.initial(g, new Array[Boolean](g.m))
     // cache(e): node id -> follower count of e within that node; null when
     // the whole entry must be recomputed (round 1 or invalidated edge)
-    val cache = new Array[mutable.HashMap[Int, Int]](g.m)
-    var staleNodes: Set[Int] = Set.empty // nodes invalidated by last anchor
+    private val cache = new Array[mutable.HashMap[Int, Int]](g.m)
+    private var staleNodes: Set[Int] = Set.empty // nodes invalidated by last anchor
 
-    for (round <- 1 to math.min(b, g.m)) {
-      val t0 = System.nanoTime()
-      val candidates = (0 until g.m).filter(!anchors(_))
-      // split candidates into fully-reusable (driver sum) and stale (Spark)
-      val toCompute = mutable.ArrayBuffer.empty[(Int, Array[Int])] // (e, staleIds or null=full)
-      val totals = new Array[Long](g.m)
-      var reusedFully = 0
-      candidates.foreach { e =>
+    def score(candidates: IndexedSeq[Int], anchors: Array[Boolean]): (Array[Long], Int) = {
+      val scores = new Array[Long](candidates.size)
+      // candidates to evaluate: (index into candidates, stale node ids or
+      // null for a full computation); the rest are summed from the cache
+      val toCompute = mutable.ArrayBuffer.empty[(Int, Array[Int])]
+      for (i <- candidates.indices) {
+        val e = candidates(i)
         val c = cache(e)
-        if (round == 1 || c == null) toCompute += ((e, null))
+        if (c == null) toCompute += ((i, null))
         else {
           val staleIds = state.sla(e).filter(id => staleNodes.contains(id) || !c.contains(id))
-          if (staleIds.isEmpty) {
-            totals(e) = state.sla(e).iterator.map(id => c(id).toLong).sum
-            reusedFully += 1
-          } else toCompute += ((e, staleIds))
+          if (staleIds.isEmpty) scores(i) = state.sla(e).iterator.map(id => c(id).toLong).sum
+          else toCompute += ((i, staleIds))
         }
       }
       if (toCompute.nonEmpty) {
-        val trussB = sc.broadcast(state.truss)
-        val layerB = sc.broadcast(state.layer)
-        val nodeOfB = sc.broadcast(state.tree.nodeOf)
-        val fresh = spark.createDataset(toCompute.toSeq)
-          .repartition(sc.defaultParallelism)
-          .mapPartitions { it =>
-            val finder = new FollowerFinder(gB.value)
-            val t = trussB.value; val l = layerB.value; val nodeOf = nodeOfB.value
-            it.map { case (e, staleIds) =>
-              val allow: Int => Boolean =
-                if (staleIds == null) null
-                else { val s = staleIds.toSet; s.contains }
-              val r = finder.find(t, l, e, nodeOf, allow)
-              (e, r.perNode.toSeq)
-            }
+        val (t, l, nodeOf) = (state.truss, state.layer, state.tree.nodeOf)
+        val items = toCompute.map { case (i, staleIds) => (candidates(i), staleIds) }.toIndexedSeq
+        val fresh = sweep(sc, gB, items) { graph =>
+          val finder = new FollowerFinder(graph)
+          (item: (Int, Array[Int])) => {
+            val (e, staleIds) = item
+            val allow: Int => Boolean = if (staleIds == null) null else staleIds.toSet
+            finder.find(t, l, e, nodeOf, allow).perNode
           }
-          .collect()
-        val staleOf = toCompute.iterator.map { case (e, ids) => e -> ids }.toMap
-        fresh.foreach { case (e, perNode) =>
-          val freshMap = perNode.toMap
+        }
+        toCompute.lazyZip(fresh).foreach { case ((i, staleIds), perNode) =>
+          val e = candidates(i)
           val old = cache(e)
           val merged = mutable.HashMap.empty[Int, Int]
-          val staleIds = staleOf(e)
           state.sla(e).foreach { id =>
             val stale = staleIds == null || staleIds.contains(id)
-            merged(id) = if (stale) freshMap.getOrElse(id, 0)
-                         else old(id)
+            merged(id) = if (stale) perNode.getOrElse(id, 0) else old(id)
           }
           cache(e) = merged
-          totals(e) = merged.valuesIterator.map(_.toLong).sum
+          scores(i) = merged.valuesIterator.map(_.toLong).sum
         }
-        trussB.destroy(); layerB.destroy(); nodeOfB.destroy()
       }
-      val bestE = candidates.minBy(e => (-totals(e), e))
-      val bestGain = totals(bestE)
-      anchors(bestE) = true
-      picked += bestE
-      gain += bestGain
-      // refresh the tree/decomposition and invalidation info (Algorithm 5)
-      val refresh = FollowerReuse.refresh(g, state, bestE, anchors)
+      (scores, candidates.size - toCompute.size)
+    }
+
+    // refresh the tree/decomposition and invalidation info (Algorithm 5)
+    override def anchored(x: Int, anchors: Array[Boolean]): Unit = {
+      val refresh = FollowerReuse.refresh(g, state, x, anchors)
       state = refresh.state
       staleNodes = refresh.staleNodes
       refresh.invalidatedEdges.foreach(e => cache(e) = null)
-      cache(bestE) = null
-      rounds += RoundStats(round, bestE, bestGain, toCompute.size, reusedFully,
-                           (System.nanoTime() - t0) / 1000000)
+      cache(x) = null
     }
-    Result(picked.toSeq, finalGain(g, anchors), rounds.toSeq)
   }
 
   /** Route sizes of every edge in round one (Table IV / the Tur baseline):
     * computed Spark-parallel over the broadcast graph.
     */
   def routeSizes(spark: SparkSession, g: CompactGraph): Array[Int] = {
-    import spark.implicits._
-    val sc = spark.sparkContext
-    val gB = sc.broadcast(g)
     val dec = LocalTruss.decompose(g)
-    val trussB = sc.broadcast(dec.truss)
-    val layerB = sc.broadcast(dec.layer)
-    val res = spark.createDataset(0 until g.m)
-      .repartition(sc.defaultParallelism)
-      .mapPartitions { it =>
-        val finder = new FollowerFinder(gB.value)
-        val t = trussB.value; val l = layerB.value
-        it.map(e => (e, finder.find(t, l, e).routeSize))
+    val (t, l) = (dec.truss, dec.layer)
+    withGraph(spark.sparkContext, g) { gB =>
+      sweep(spark.sparkContext, gB, 0 until g.m) { graph =>
+        val finder = new FollowerFinder(graph)
+        e => finder.find(t, l, e).routeSize
       }
-      .collect()
-    val out = new Array[Int](g.m)
-    res.foreach { case (e, s) => out(e) = s }
-    out
+    }
   }
 }

@@ -2,6 +2,8 @@ package repro.core
 
 import repro.{SparkSpec, TestGraphs}
 import repro.graph.GraphGen
+import repro.truss.LocalTruss
+import scala.math.Ordering.Implicits.seqOrdering
 
 /** The exhaustive Exact algorithm and the Exp-2 comparison: GAS achieves at
   * least 90% of the optimum on extracted subgraphs with small budgets.
@@ -16,6 +18,21 @@ class ExactSpec extends SparkSpec {
       assert(ex.gain == gas.gain, s"seed=$seed exact=${ex.gain} gas=${gas.gain}")
       assert(ex.combosTried == g.m)
     }
+  }
+
+  test("Exact breaks gain ties on the numerically smallest anchor ids") {
+    // on this graph (6, 12) and (10, 20) both reach the best b=2 gain; a
+    // string comparison would prefer "(10, 20)" because '1' < '6'
+    val g = TestGraphs.random(12, 35, 26)
+    val base = LocalTruss.decompose(g)
+    val combos = (0 until g.m).combinations(2).toIndexedSeq
+    val gains = combos.map(c => LocalTruss.trussGain(g, base, LocalTruss.anchorMask(g.m, c)))
+    val best = gains.max
+    val tied = combos.zip(gains).collect { case (c, gain) if gain == best => c }
+    assert(tied.min != tied.minBy(_.mkString(", ")), s"no string/number disagreement in $tied")
+    val ex = Exact.run(spark, g, 2)
+    assert(ex.anchors == tied.min, s"tied=$tied")
+    assert(ex.gain == best)
   }
 
   test("Exact b=2 dominates GAS b=2") {

@@ -1,6 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.SparkSession
 import repro.{SparkSpec, TestGraphs}
+import repro.graph.CompactGraph
 import repro.truss.LocalTruss
 
 /** The three greedy variants must be interchangeable: same anchor sequence,
@@ -9,6 +11,9 @@ import repro.truss.LocalTruss
   * the tree-reuse machinery (GAS vs BASE+) introduce no behavioural drift.
   */
 class GreedySpec extends SparkSpec {
+
+  private val variants = Seq[(String, (SparkSession, CompactGraph, Int) => Greedy.Result)](
+    "base" -> Greedy.base, "basePlus" -> Greedy.basePlus, "gas" -> Greedy.gas)
 
   test("BASE+ equals BASE (anchors and gain) on random graphs") {
     for (seed <- 1 to 4) {
@@ -46,6 +51,16 @@ class GreedySpec extends SparkSpec {
       val base = LocalTruss.decompose(g)
       val mask = LocalTruss.anchorMask(g.m, rg.anchors)
       assert(rg.gain == LocalTruss.trussGain(g, base, mask))
+    }
+    // degenerate inputs, for every variant: b = 0 anchors nothing, and on a
+    // triangle-free cycle every score ties at 0, so the tie-break takes 0 until b
+    val g = TestGraphs.random(13, 48, 8)
+    val cycle = TestGraphs.cycle(8)
+    for ((name, variant) <- variants) {
+      val none = variant(spark, g, 0)
+      assert(none.anchors.isEmpty && none.rounds.isEmpty && none.gain == 0, name)
+      val flat = variant(spark, cycle, 3)
+      assert(flat.anchors == (0 until 3) && flat.gain == 0, s"$name: ${flat.anchors}")
     }
   }
 
@@ -86,5 +101,10 @@ class GreedySpec extends SparkSpec {
     val g = TestGraphs.clique(4) // 6 edges
     val rg = Greedy.gas(spark, g, 10)
     assert(rg.anchors.size == g.m)
+    // the last round sweeps one candidate, fewer than the partitions
+    for ((name, variant) <- variants) {
+      val r = variant(spark, g, 10)
+      assert(r.anchors.sorted == (0 until g.m) && r.gain == 0, s"$name: ${r.anchors}")
+    }
   }
 }
