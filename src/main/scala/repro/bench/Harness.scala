@@ -90,12 +90,16 @@ object Harness {
       } else None
 
       val t1 = System.nanoTime()
-      Greedy.basePlus(spark, g, b)
+      val basePlusRes = Greedy.basePlus(spark, g, b)
       val basePlusMs = (System.nanoTime() - t1) / 1000000
 
       val t2 = System.nanoTime()
       val gasRes = Greedy.gas(spark, g, b)
       val gasMs = (System.nanoTime() - t2) / 1000000
+      // GAS ≡ BASE+ anchor for anchor is what defines GAS's correctness
+      if (gasRes.anchors != basePlusRes.anchors)
+        throw new IllegalStateException(
+          s"$name: GAS anchors ${gasRes.anchors} != BASE+ anchors ${basePlusRes.anchors}")
 
       val laterRounds = gasRes.rounds.drop(1)
       val reuseFrac =

@@ -23,6 +23,16 @@ import scala.collection.mutable
   *
   * This keeps GAS *exactly* equivalent to BASE+ (asserted by property
   * tests) while still reusing the overwhelming share of results.
+  *
+  * The refresh is component-local. The top-level triangle components
+  * (`state.tree.comps`) are computed once by [[initial]] and never change
+  * under anchoring; every triangle lies inside one of them, so trussness,
+  * layer, tree nodes and `sla` can change only inside comp(x), the
+  * component of the new anchor. [[refresh]] re-peels, diffs, re-trees and
+  * re-derives `sla` for comp(x) alone: O(Σ_{e ∈ comp(x)} deg) work. Its
+  * only O(m) costs are four array copies (truss, layer, nodeOf, sla), which
+  * keep it free of side effects on `prev`, and zeroed length-m scratch
+  * arrays for the peel and the tree builder.
   */
 object FollowerReuse {
 
@@ -55,27 +65,15 @@ object FollowerReuse {
   /** Refresh after anchoring `x` (anchors mask already includes `x`). */
   def refresh(g: CompactGraph, prev: RoundState, x: Int,
               anchors: Array[Boolean]): Refresh = {
-    val dec = LocalTruss.decompose(g, anchors)
-    // tree structure can only change inside the top-level components of
-    // edges whose decomposition outcome changed (followers, layer shifts)
-    // or of the new anchor itself — rebuild just those (TrussTree.rebuild)
-    val dirty = mutable.HashSet[Int](x)
-    var e = 0
-    while (e < g.m) {
-      if (dec.truss(e) != prev.truss(e) || dec.layer(e) != prev.layer(e)) dirty += e
-      e += 1
-    }
-    val tree = TrussTree.rebuild(g, dec.truss, prev.tree, dirty)
+    val comp = prev.tree.comps.edges(prev.tree.comps.of(x))
+    val truss = prev.truss.clone()
+    val layer = prev.layer.clone()
+    LocalTruss.peel(g, comp, anchors, truss, layer)
+    val tree = TrussTree.rebuild(g, truss, prev.tree, Seq(x))
 
     // edges whose decomposition outcome or node assignment changed
-    val changed = mutable.HashSet.empty[Int]
-    e = 0
-    while (e < g.m) {
-      if (dec.truss(e) != prev.truss(e) || dec.layer(e) != prev.layer(e) ||
-          tree.nodeOf(e) != prev.tree.nodeOf(e)) changed += e
-      e += 1
-    }
-    changed += x
+    val changed = comp.filter(e => e == x || truss(e) != prev.truss(e) ||
+      layer(e) != prev.layer(e) || tree.nodeOf(e) != prev.tree.nodeOf(e))
 
     val stale = mutable.HashSet.empty[Int]
     def addNode(id: Int): Unit = if (id != -1) stale += id
@@ -87,22 +85,17 @@ object FollowerReuse {
 
     // sla only changes for edges with a changed triangle-neighborhood (or a
     // changed own trussness); recompute exactly those
-    val slaDirty = mutable.HashSet.empty[Int]
+    val slaDirty = mutable.BitSet.empty
     changed.foreach { c =>
       slaDirty += c
       g.foreachTriangle(c) { (a, b) => slaDirty += a; slaDirty += b }
     }
-    val sla = new Array[Array[Int]](g.m)
-    e = 0
-    while (e < g.m) {
-      sla(e) =
-        if (dec.truss(e) == Int.MaxValue) Array.empty[Int]
-        else if (slaDirty.contains(e)) TrussTree.sla(g, dec.truss, tree.nodeOf, e)
-        else prev.sla(e)
-      e += 1
+    val sla = prev.sla.clone()
+    slaDirty.foreach { e =>
+      sla(e) = if (truss(e) == Int.MaxValue) Array.empty[Int] else TrussTree.sla(g, truss, tree.nodeOf, e)
     }
 
     val invalidatedEdges = changed.filter(c => !anchors(c)).toSet
-    Refresh(RoundState(dec.truss, dec.layer, tree, sla), stale.toSet, invalidatedEdges)
+    Refresh(RoundState(truss, layer, tree, sla), stale.toSet, invalidatedEdges)
   }
 }

@@ -108,65 +108,83 @@ object Greedy {
 
   /** GAS's scorer: per-node follower counts cached across rounds, with only
     * the tree nodes invalidated by the last anchor (Algorithm 5) recomputed.
+    *
+    * Anchoring `x` changes truss, layer, tree nodes and `sla` only inside
+    * comp(x), its top-level triangle component (see [[FollowerReuse]]), so
+    * every other edge keeps last round's score and a round re-scans only
+    * comp(x)'s edges.
     */
   private final class GasScorer(sc: SparkContext, gB: Broadcast[CompactGraph],
                                 g: CompactGraph) extends Scorer {
     private var state = FollowerReuse.initial(g, new Array[Boolean](g.m))
-    // cache(e): node id -> follower count of e within that node; null when
+    // cachedCount(e)(j): follower count of e within node cachedSla(e)(j),
+    // where cachedSla(e) is sla(e) as of e's last evaluation; both null when
     // the whole entry must be recomputed (round 1 or invalidated edge)
-    private val cache = new Array[mutable.HashMap[Int, Int]](g.m)
-    private var staleNodes: Set[Int] = Set.empty // nodes invalidated by last anchor
+    private val cachedSla = new Array[Array[Int]](g.m)
+    private val cachedCount = new Array[Array[Int]](g.m)
+    // scores(e): e's score as of the last round that re-scanned it
+    private val scores = new Array[Long](g.m)
+    // node ids invalidated by the last anchor, ascending
+    private var staleNodes = Array.empty[Int]
+    // edges whose score may have changed since the last round
+    private var rescan = Array.range(0, g.m)
+
+    /** e's cached count for node `id`, which must be in cachedSla(e). */
+    private def cached(e: Int, id: Int): Int =
+      cachedCount(e)(java.util.Arrays.binarySearch(cachedSla(e), id))
 
     def score(candidates: IndexedSeq[Int], anchors: Array[Boolean]): (Array[Long], Int) = {
-      val scores = new Array[Long](candidates.size)
-      // candidates to evaluate: (index into candidates, stale node ids or
-      // null for a full computation); the rest are summed from the cache
+      // edges to evaluate, with their stale node ids (null: all of them);
+      // the rest are summed from the cache
       val toCompute = mutable.ArrayBuffer.empty[(Int, Array[Int])]
-      for (i <- candidates.indices) {
-        val e = candidates(i)
-        val c = cache(e)
-        if (c == null) toCompute += ((i, null))
+      for (e <- rescan if !anchors(e)) {
+        val ids = cachedSla(e)
+        if (ids == null) toCompute += ((e, null))
         else {
-          val staleIds = state.sla(e).filter(id => staleNodes.contains(id) || !c.contains(id))
-          if (staleIds.isEmpty) scores(i) = state.sla(e).iterator.map(id => c(id).toLong).sum
-          else toCompute += ((i, staleIds))
+          val staleIds = state.sla(e).filter(id => has(staleNodes, id) || !has(ids, id))
+          if (staleIds.nonEmpty) toCompute += ((e, staleIds))
+          else scores(e) = state.sla(e).iterator.map(cached(e, _).toLong).sum
         }
       }
       if (toCompute.nonEmpty) {
         val (t, l, nodeOf) = (state.truss, state.layer, state.tree.nodeOf)
-        val items = toCompute.map { case (i, staleIds) => (candidates(i), staleIds) }.toIndexedSeq
-        val fresh = sweep(sc, gB, items) { graph =>
+        val fresh = sweep(sc, gB, toCompute.toIndexedSeq) { graph =>
           val finder = new FollowerFinder(graph)
           (item: (Int, Array[Int])) => {
             val (e, staleIds) = item
-            val allow: Int => Boolean = if (staleIds == null) null else staleIds.toSet
+            val allow: Int => Boolean = if (staleIds == null) null else has(staleIds, _)
             finder.find(t, l, e, nodeOf, allow).perNode
           }
         }
-        toCompute.lazyZip(fresh).foreach { case ((i, staleIds), perNode) =>
-          val e = candidates(i)
-          val old = cache(e)
-          val merged = mutable.HashMap.empty[Int, Int]
-          state.sla(e).foreach { id =>
-            val stale = staleIds == null || staleIds.contains(id)
-            merged(id) = if (stale) perNode.getOrElse(id, 0) else old(id)
+        toCompute.lazyZip(fresh).foreach { case ((e, staleIds), perNode) =>
+          val sla = state.sla(e)
+          val counts = sla.map { id =>
+            if (staleIds == null || has(staleIds, id)) perNode.getOrElse(id, 0)
+            else cached(e, id)
           }
-          cache(e) = merged
-          scores(i) = merged.valuesIterator.map(_.toLong).sum
+          cachedSla(e) = sla
+          cachedCount(e) = counts
+          scores(e) = counts.iterator.map(_.toLong).sum
         }
       }
-      (scores, candidates.size - toCompute.size)
+      (candidates.iterator.map(scores(_)).toArray, candidates.size - toCompute.size)
     }
 
     // refresh the tree/decomposition and invalidation info (Algorithm 5)
     override def anchored(x: Int, anchors: Array[Boolean]): Unit = {
       val refresh = FollowerReuse.refresh(g, state, x, anchors)
       state = refresh.state
-      staleNodes = refresh.staleNodes
-      refresh.invalidatedEdges.foreach(e => cache(e) = null)
-      cache(x) = null
+      staleNodes = refresh.staleNodes.toArray.sorted
+      for (e <- refresh.invalidatedEdges.iterator ++ Iterator(x)) {
+        cachedSla(e) = null
+        cachedCount(e) = null
+      }
+      rescan = state.tree.comps.edges(state.tree.comps.of(x))
     }
   }
+
+  /** Whether the ascending `ids` contain `id`. */
+  private def has(ids: Array[Int], id: Int): Boolean = java.util.Arrays.binarySearch(ids, id) >= 0
 
   /** Route sizes of every edge in round one (Table IV / the Tur baseline):
     * computed Spark-parallel over the broadcast graph.

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.CompactGraph
+import repro.graph.{CompactGraph, TriangleComponents}
 import scala.collection.mutable
 
 /** The truss component tree (paper's Algorithm 4 / Table II).
@@ -17,17 +17,18 @@ import scala.collection.mutable
   * them, exactly as it does for follower propagation — but belong to no
   * node (`nodeOf = -1`).
   *
-  * [[TrussTree.rebuild]] exploits that *top-level* components (triangle
-  * connectivity over the full edge set, which ignores trussness) never
-  * change when an edge is anchored: anchoring only moves the edge from
-  * member to connector, leaving every union intact. Only the top components
-  * containing an edge whose trussness/anchor status changed are re-peeled;
-  * all other nodes are carried over verbatim.
+  * The roots are the top-level triangle components (`comps`) that hold a
+  * non-anchored edge. Anchoring an edge only moves it from member to
+  * connector and leaves the components as they are, and trussness is
+  * component-local, so [[TrussTree.rebuild]] re-peels only the components
+  * it is told changed and carries every other node over verbatim.
   */
 final class TrussTree(
     val nodes: Map[Int, TrussTree.Node],
     /** edge id -> tree node id (-1 for anchors) */
     val nodeOf: Array[Int],
+    /** the top-level triangle components the roots partition */
+    val comps: TriangleComponents,
 ) {
 
   /** All edge ids in the subtree rooted at node `id`. */
@@ -40,17 +41,6 @@ final class TrussTree(
       n.children.foreach(stack.push)
     }
     buf.toArray
-  }
-
-  /** Root-node ids (parent == -1). */
-  def roots: Iterable[Int] = nodes.values.filter(_.parent == -1).map(_.id)
-
-  /** Top-level root id owning edge `e` (-1 for anchors). */
-  def rootOf(e: Int): Int = {
-    var id = nodeOf(e)
-    if (id == -1) return -1
-    while (nodes(id).parent != -1) id = nodes(id).parent
-    id
   }
 }
 
@@ -68,44 +58,47 @@ object TrussTree {
     * `truss(e) == Int.MaxValue`.
     */
   def build(g: CompactGraph, truss: Array[Int]): TrussTree = {
-    val builder = new Builder(g, truss)
-    val top = (0 until g.m).filter(truss(_) != Int.MaxValue).toArray
+    val comps = TriangleComponents(g)
     val nodeOf = Array.fill(g.m)(-1)
-    val nodes = builder.buildInto(top, -1, nodeOf)
-    new TrussTree(nodes, nodeOf)
+    val builder = new Builder(g, truss, nodeOf)
+    var c = 0
+    while (c < comps.count) { builder.addComponent(comps.edges(c)); c += 1 }
+    new TrussTree(builder.result(), nodeOf, comps)
   }
 
-  /** Rebuild only the top-level components containing `dirty` edges; every
+  /** Rebuild the top-level components that contain a `dirty` edge; every
     * other node (and its id) is carried over from `prev` unchanged.
-    * Equivalent to `build(g, truss)` — asserted by property tests.
+    * Equivalent to `build(g, truss)` when every edge whose trussness or
+    * anchor status differs from `prev`'s lies in such a component —
+    * asserted by property tests. Walks only the rebuilt components; the
+    * other O(m) costs are one copy of `nodeOf` and two zeroed length-m
+    * scratch arrays. `prev` is not modified.
     */
   def rebuild(g: CompactGraph, truss: Array[Int], prev: TrussTree,
               dirty: Iterable[Int]): TrussTree = {
-    val affectedRoots = dirty.map(prev.rootOf).filter(_ != -1).toSet
-    if (affectedRoots.isEmpty) return prev
-    val affectedEdges = affectedRoots.iterator.flatMap(prev.subtreeEdges).toArray
-    val keepNodes = prev.nodes.filter { case (id, _) =>
-      !affectedRoots.contains(prevRootOfNode(prev, id))
-    }
     val nodeOf = prev.nodeOf.clone()
-    affectedEdges.foreach(nodeOf(_) = -1)
-    val builder = new Builder(g, truss)
-    val subset = affectedEdges.filter(truss(_) != Int.MaxValue)
-    val rebuilt = builder.buildInto(subset, -1, nodeOf)
-    new TrussTree(keepNodes ++ rebuilt, nodeOf)
+    val builder = new Builder(g, truss, nodeOf)
+    var nodes = prev.nodes
+    for (c <- dirty.iterator.map(prev.comps.of).distinct) {
+      val edges = prev.comps.edges(c)
+      for (e <- edges) {
+        // node ids are their smallest member edge: e heads a node of c
+        if (prev.nodeOf(e) == e) nodes -= e
+        nodeOf(e) = -1
+      }
+      builder.addComponent(edges)
+    }
+    new TrussTree(nodes ++ builder.result(), nodeOf, prev.comps)
   }
 
-  private def prevRootOfNode(prev: TrussTree, id: Int): Int = {
-    var cur = id
-    while (prev.nodes(cur).parent != -1) cur = prev.nodes(cur).parent
-    cur
-  }
-
-  /** Recursive component peeling shared by build and rebuild. */
-  private final class Builder(g: CompactGraph, truss: Array[Int]) {
+  /** Recursive component peeling shared by build and rebuild: each
+    * [[addComponent]] call fills `nodeOf` for one top-level component and
+    * [[result]] returns the nodes created.
+    */
+  private final class Builder(g: CompactGraph, truss: Array[Int], nodeOf: Array[Int]) {
     private val inCur = new Array[Boolean](g.m)
     private val uf = new Array[Int](g.m)
-    private val anchorIds = (0 until g.m).filter(truss(_) == Int.MaxValue).toArray
+    private val out = mutable.HashMap.empty[Int, (Int, Array[Int], Int, mutable.ArrayBuffer[Int])]
 
     private def find(e: Int): Int = {
       var r = e
@@ -122,8 +115,8 @@ object TrussTree {
     /** Partition `subset ∪ anchors` into triangle-connected groups; return
       * the groups of non-anchor edges.
       */
-    private def components(subset: Array[Int]): Iterable[Array[Int]] = {
-      val all = subset ++ anchorIds
+    private def components(subset: Array[Int], anchors: Array[Int]): Iterable[Array[Int]] = {
+      val all = subset ++ anchors
       all.foreach { e => inCur(e) = true; uf(e) = e }
       all.foreach { e =>
         g.foreachTriangle(e) { (a, b) =>
@@ -136,28 +129,29 @@ object TrussTree {
       groups.values.map(_.toArray)
     }
 
-    /** Peel `subset` (Algorithm 4) attaching to `parent`; fills `nodeOf`
-      * and returns the created nodes.
+    /** Peel one top-level component (all its edges, anchors included;
+      * Algorithm 4). Its non-anchor edges are triangle-connected through
+      * the whole component, so they form one root node's subtree.
       */
-    def buildInto(subset: Array[Int], parent: Int, nodeOf: Array[Int]): Map[Int, Node] = {
-      val out = mutable.HashMap.empty[Int, (Int, Array[Int], Int, mutable.ArrayBuffer[Int])]
-      def go(sub: Array[Int], par: Int): Unit = {
-        for (comp <- components(sub)) {
-          var kMin = Int.MaxValue
-          comp.foreach(e => if (truss(e) < kMin) kMin = truss(e))
-          val (hull, rest) = comp.partition(truss(_) == kMin)
-          val id = hull.min
-          out(id) = (kMin, hull, par, mutable.ArrayBuffer.empty)
-          hull.foreach(nodeOf(_) = id)
-          if (par != -1 && out.contains(par)) out(par)._4 += id
-          if (rest.nonEmpty) go(rest, id)
-        }
+    def addComponent(comp: Array[Int]): Unit = {
+      val (anchors, members) = comp.partition(truss(_) == Int.MaxValue)
+      def go(group: Array[Int], par: Int): Unit = {
+        var kMin = Int.MaxValue
+        group.foreach(e => if (truss(e) < kMin) kMin = truss(e))
+        val (hull, rest) = group.partition(truss(_) == kMin)
+        val id = hull.min
+        out(id) = (kMin, hull, par, mutable.ArrayBuffer.empty)
+        hull.foreach(nodeOf(_) = id)
+        if (par != -1) out(par)._4 += id
+        if (rest.nonEmpty) components(rest, anchors).foreach(go(_, id))
       }
-      if (subset.nonEmpty) go(subset, parent)
+      if (members.nonEmpty) go(members, -1)
+    }
+
+    def result(): Map[Int, Node] =
       out.iterator.map { case (id, (k, edges, par, children)) =>
         id -> Node(id, k, edges, par, children.toArray)
       }.toMap
-    }
   }
 
   /** Subtree-adjacency node ids (paper's `sla(e)`): the tree nodes of all
@@ -167,11 +161,15 @@ object TrussTree {
     */
   def sla(g: CompactGraph, truss: Array[Int], nodeOf: Array[Int], e: Int): Array[Int] = {
     val te = truss(e)
-    val out = mutable.SortedSet.empty[Int]
+    val buf = new mutable.ArrayBuilder.ofInt
     g.foreachTriangle(e) { (a, b) =>
-      if (truss(a) >= te && truss(a) != Int.MaxValue) out += nodeOf(a)
-      if (truss(b) >= te && truss(b) != Int.MaxValue) out += nodeOf(b)
+      if (truss(a) >= te && truss(a) != Int.MaxValue) buf += nodeOf(a)
+      if (truss(b) >= te && truss(b) != Int.MaxValue) buf += nodeOf(b)
     }
-    out.toArray
+    val ids = buf.result()
+    java.util.Arrays.sort(ids)
+    var n = 0
+    for (id <- ids) if (n == 0 || ids(n - 1) != id) { ids(n) = id; n += 1 }
+    java.util.Arrays.copyOf(ids, n)
   }
 }

@@ -29,19 +29,38 @@ object LocalTruss {
 
   /** Decompose `g`; edges whose id is in `anchors` are never removed. */
   def decompose(g: CompactGraph, anchors: Array[Boolean] = null): Result = {
+    val anch = if (anchors == null) new Array[Boolean](g.m) else anchors
+    val truss = new Array[Int](g.m)
+    val layer = new Array[Int](g.m)
+    val kMax = peel(g, Array.range(0, g.m), anch, truss, layer)
+    Result(truss, layer, kMax)
+  }
+
+  /** The peel itself, over the edges in `edges` only: writes `truss(e)` and
+    * `layer(e)` for every `e` in `edges` and touches no other entry; returns
+    * the max trussness over its non-anchored edges (2 if there are none).
+    *
+    * `edges` must be closed under triangles: every triangle with one edge in
+    * `edges` has all three there. Every edge at once, or any union of
+    * [[repro.graph.TriangleComponents]], qualifies. Peeling runs in
+    * synchronised sweeps, and support changes only along triangles, so each
+    * component peels exactly as it would alone: trussness and layer are
+    * component-local, and peeling one component reproduces the entries a
+    * full decomposition gives it.
+    */
+  def peel(g: CompactGraph, edges: Array[Int], anch: Array[Boolean],
+           truss: Array[Int], layer: Array[Int]): Int = {
     val m = g.m
-    val anch = if (anchors == null) new Array[Boolean](m) else anchors
     val sup = new Array[Int](m)
     val alive = new Array[Boolean](m)
-    val truss = new Array[Int](m)
-    val layer = new Array[Int](m)
-    var e = 0
     var aliveNonAnchor = 0
-    while (e < m) {
+    var i = 0
+    while (i < edges.length) {
+      val e = edges(i)
       sup(e) = g.support(e)
       alive(e) = true
       if (!anch(e)) aliveNonAnchor += 1
-      e += 1
+      i += 1
     }
     var kMax = 2
     var k = 2
@@ -52,10 +71,11 @@ object LocalTruss {
     val next = new java.util.ArrayDeque[Int]()
     while (aliveNonAnchor > 0) {
       // seed the phase-k frontier with a full scan (once per phase)
-      var i = 0
-      while (i < m) {
-        if (alive(i) && !anch(i) && sup(i) <= k - 2 && !scheduled(i)) {
-          frontier.add(i); scheduled(i) = true
+      i = 0
+      while (i < edges.length) {
+        val e = edges(i)
+        if (alive(e) && !anch(e) && sup(e) <= k - 2 && !scheduled(e)) {
+          frontier.add(e); scheduled(e) = true
         }
         i += 1
       }
@@ -84,12 +104,8 @@ object LocalTruss {
       }
       k += 1
     }
-    e = 0
-    while (e < m) {
-      if (anch(e)) { truss(e) = AnchorTruss; layer(e) = 0 }
-      e += 1
-    }
-    Result(truss, layer, kMax)
+    for (e <- edges if anch(e)) { truss(e) = AnchorTruss; layer(e) = 0 }
+    kMax
   }
 
   /** Trussness gain of anchoring `anchors` relative to the base decomposition

@@ -33,6 +33,17 @@ object TestGraphs {
     CompactGraph.fromEdges(edges)
   }
 
+  /** Disjoint union: `gs(i)`'s vertices are shifted past those of
+    * `gs(0 until i)`, so no triangle, and no top-level triangle component,
+    * spans two parts.
+    */
+  def disjointUnion(gs: CompactGraph*): CompactGraph = {
+    val offsets = gs.scanLeft(0)(_ + _.n)
+    CompactGraph.fromEdges(gs.zip(offsets).flatMap { case (g, off) =>
+      (0 until g.m).map(e => (g.edgeU(e) + off, g.edgeV(e) + off))
+    })
+  }
+
   /** Complete graph on n vertices (0..n-1). */
   def clique(n: Int): CompactGraph =
     CompactGraph.fromEdges(for (i <- 0 until n; j <- (i + 1) until n) yield (i, j))

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import repro.graph.{CompactGraph, GraphGen, TriangleComponents}
 import repro.truss.LocalTruss
 
 /** Lemma 5 / Algorithm 5: after anchoring, every follower result declared
@@ -90,5 +91,41 @@ class FollowerReuseSpec extends AnyFunSuite {
         assert(s1.tree.nodeOf(e) == scratch.tree.nodeOf(e))
       }
     }
+    // chained anchors on graphs with several non-trivial components: each
+    // refresh must match a from-scratch state under the anchors so far
+    val graphs = Seq(
+      "union" -> TestGraphs.disjointUnion(TestGraphs.random(13, 48, 48), TestGraphs.random(14, 55, 95),
+                                          TestGraphs.random(13, 48, 142)),
+      "college" -> GraphGen.graph("college"))
+    for ((name, g) <- graphs) {
+      val anchors = new Array[Boolean](g.m)
+      var state = FollowerReuse.initial(g, anchors)
+      for ((x, step) <- chainAnchors(g).zipWithIndex) {
+        anchors(x) = true
+        state = FollowerReuse.refresh(g, state, x, anchors).state
+        val scratch = FollowerReuse.initial(g, anchors)
+        val at = s"$name step=$step anchor=$x"
+        assert(state.truss.sameElements(scratch.truss), at)
+        assert(state.layer.sameElements(scratch.layer), at)
+        assert(state.tree.nodeOf.sameElements(scratch.tree.nodeOf), at)
+        assert(state.tree.nodes.keySet == scratch.tree.nodes.keySet, at)
+        state.tree.nodes.foreach { case (id, n) =>
+          val s = scratch.tree.nodes(id)
+          assert(n.k == s.k && n.parent == s.parent, s"$at node=$id")
+          assert(n.edges.sorted.sameElements(s.edges.sorted), s"$at node=$id")
+          assert(n.children.sorted.sameElements(s.children.sorted), s"$at node=$id")
+        }
+        for (e <- 0 until g.m) assert(state.sla(e).toSeq == scratch.sla(e).toSeq, s"$at e=$e")
+      }
+    }
+  }
+
+  /** Four anchors: three spread over the largest top-level component and
+    * one in the second largest, visited in between.
+    */
+  private def chainAnchors(g: CompactGraph): Seq[Int] = {
+    val comps = TriangleComponents(g)
+    val Seq(a, b) = (0 until comps.count).map(comps.edges).sortBy(-_.length).take(2)
+    Seq(a(a.length / 3), b(b.length / 2), a(2 * a.length / 3), a(0))
   }
 }

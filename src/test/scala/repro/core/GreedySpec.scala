@@ -15,6 +15,12 @@ class GreedySpec extends SparkSpec {
   private val variants = Seq[(String, (SparkSession, CompactGraph, Int) => Greedy.Result)](
     "base" -> Greedy.base, "basePlus" -> Greedy.basePlus, "gas" -> Greedy.gas)
 
+  // two non-trivial triangle components, the anchors mostly in the second:
+  // a GAS refresh scoped to the wrong component changes the anchors
+  private lazy val unions = (1 to 3).map { seed =>
+    TestGraphs.disjointUnion(TestGraphs.random(13, 48, seed * 59 + 4), TestGraphs.random(30, 150, seed * 71))
+  }
+
   test("BASE+ equals BASE (anchors and gain) on random graphs") {
     for (seed <- 1 to 4) {
       val g = TestGraphs.random(12, 40, seed * 53 + 2)
@@ -33,6 +39,12 @@ class GreedySpec extends SparkSpec {
       assert(rp.anchors == rg.anchors, s"seed=$seed basePlus=${rp.anchors} gas=${rg.anchors}")
       assert(rp.gain == rg.gain, s"seed=$seed")
     }
+    for ((g, i) <- unions.zipWithIndex) {
+      val rp = Greedy.basePlus(spark, g, 6)
+      val rg = Greedy.gas(spark, g, 6)
+      assert(rp.anchors == rg.anchors, s"union $i basePlus=${rp.anchors} gas=${rg.anchors}")
+      assert(rp.gain == rg.gain, s"union $i")
+    }
   }
 
   test("GAS per-round marginals match BASE+ marginals") {
@@ -40,6 +52,11 @@ class GreedySpec extends SparkSpec {
       val g = TestGraphs.random(13, 48, seed * 61 + 6)
       val rp = Greedy.basePlus(spark, g, 4)
       val rg = Greedy.gas(spark, g, 4)
+      assert(rp.rounds.map(_.marginalGain) == rg.rounds.map(_.marginalGain))
+    }
+    for (g <- unions) {
+      val rp = Greedy.basePlus(spark, g, 6)
+      val rg = Greedy.gas(spark, g, 6)
       assert(rp.rounds.map(_.marginalGain) == rg.rounds.map(_.marginalGain))
     }
   }

@@ -2,7 +2,7 @@ package repro.truss
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.graph.CompactGraph
+import repro.graph.{CompactGraph, GraphGen, TriangleComponents}
 
 /** The exact decomposition kernel against known-by-hand structures and the
   * paper's structural facts (k-hulls, layers, anchors).
@@ -148,6 +148,34 @@ class LocalTrussSpec extends AnyFunSuite {
     for (x <- 0 until gMinus.m)
       assert(LocalTruss.trussGain(gMinus, base, LocalTruss.anchorMask(gMinus.m, Seq(x))) >= 0)
     assert(g.m == 10)
+  }
+
+  test("peeling each top-level component alone reproduces decompose") {
+    val rnd = new scala.util.Random(17)
+    val unions = (1 to 4).map { seed =>
+      TestGraphs.disjointUnion(TestGraphs.random(13, 48, seed), TestGraphs.random(14, 55, seed + 50),
+                               TestGraphs.cycle(6))
+    }
+    val graphs = (1 to 10).map(seed => TestGraphs.random(14, 50, seed * 17)) ++ unions :+
+      GraphGen.graph("college")
+    for ((g, i) <- graphs.zipWithIndex) {
+      val comps = TriangleComponents(g)
+      // the precondition of a component peel: no triangle spans two components
+      for (e <- 0 until g.m) g.foreachTriangle(e) { (a, b) =>
+        assert(comps.of(a) == comps.of(e) && comps.of(b) == comps.of(e), s"graph $i edge $e")
+      }
+      if (unions.contains(g))
+        assert((0 until comps.count).count(comps.edges(_).length >= 3) >= 2, s"graph $i")
+      for (trial <- 0 until 4) {
+        val anchors = Array.fill(g.m)(rnd.nextDouble() < 0.04 * trial)
+        val full = LocalTruss.decompose(g, anchors)
+        val truss = new Array[Int](g.m)
+        val layer = new Array[Int](g.m)
+        for (c <- 0 until comps.count) LocalTruss.peel(g, comps.edges(c), anchors, truss, layer)
+        assert(truss.sameElements(full.truss), s"graph $i trial $trial")
+        assert(layer.sameElements(full.layer), s"graph $i trial $trial")
+      }
+    }
   }
 
   test("decomposition is deterministic") {
