@@ -53,7 +53,7 @@ object AKT {
       else {
         // only incident edges inside the (k-1)-truss skeleton are anchored
         def anchorable(v: Int): Array[Int] =
-          g.incidentEdges(v).filter(e => !anchors(e) && dec.truss(e) >= k - 1).toArray
+          g.incidentEdges(v).filter(e => !anchors(e) && dec.truss(e) >= k - 1)
         var bestV = -1
         var bestScore = -1
         cands.foreach { v =>

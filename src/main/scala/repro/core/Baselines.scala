@@ -23,6 +23,7 @@ object Baselines {
   /** Max trussness gain over `trials` random b-subsets of `pool`. */
   def maxGainOverTrials(spark: SparkSession, g: CompactGraph, pool: Array[Int],
                         b: Int, trials: Int, seed: Long): Long = {
+    require(trials >= 1, s"trials must be at least 1, got $trials")
     val base = LocalTruss.decompose(g)
     val k = math.min(b, pool.length)
     withGraph(spark.sparkContext, g) { gB =>

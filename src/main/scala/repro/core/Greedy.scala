@@ -40,9 +40,7 @@ object Greedy {
     * per-round follower counts can overstate it when a chosen anchor had
     * itself gained trussness from earlier anchors (it leaves the E\A sum).
     */
-  final case class Result(anchors: Seq[Int], gain: Long, rounds: Seq[RoundStats]) {
-    def totalEvaluations: Long = rounds.map(_.evaluated.toLong).sum
-  }
+  final case class Result(anchors: Seq[Int], gain: Long, rounds: Seq[RoundStats])
 
   /** How one greedy variant scores a round's candidates. */
   private trait Scorer {

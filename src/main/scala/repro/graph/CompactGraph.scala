@@ -1,7 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-
 /** Immutable CSR representation of an undirected simple graph.
   *
   * Edges are canonical (`u < v`) and densely numbered `0 until m`; vertices
@@ -10,8 +8,10 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
   * enumeration for an edge `(u,v)` is a linear merge-intersection of two
   * sorted runs.
   *
-  * The structure is serializable and small (5 int arrays), so it is broadcast
-  * to executors for the bulk-parallel follower computations.
+  * This is the one graph representation: generators build it, and every
+  * decomposition, tree and sweep reads it. It is serializable and small
+  * (5 int arrays), so it is broadcast to executors for the bulk-parallel
+  * follower computations.
   *
   * @param n      number of vertices
   * @param m      number of edges
@@ -60,9 +60,9 @@ final class CompactGraph(
     s
   }
 
-  /** All edge ids incident to vertex u. */
-  def incidentEdges(u: Int): Seq[Int] =
-    (adjOff(u) until adjOff(u + 1)).map(adjE)
+  /** All edge ids incident to vertex u (a copy of u's `adjE` run). */
+  def incidentEdges(u: Int): Array[Int] =
+    java.util.Arrays.copyOfRange(adjE, adjOff(u), adjOff(u + 1))
 }
 
 object CompactGraph {
@@ -111,25 +111,6 @@ object CompactGraph {
       u += 1
     }
     new CompactGraph(n, m, edgeU, edgeV, adjOff, adjV, adjE)
-  }
-
-  /** Collect a canonical edge DataFrame (columns `src`, `dst`) to the driver
-    * and build a CompactGraph. Intended for graphs that fit the driver (all
-    * bench stand-ins do); the distributed path is `GraphOps`/`SparkTruss`.
-    */
-  def fromDataFrame(df: DataFrame): CompactGraph = {
-    val edges = df.select("src", "dst").collect().map {
-      case Row(a: Int, b: Int)   => (a, b)
-      case Row(a: Long, b: Long) => (a.toInt, b.toInt)
-      case r                     => (r.get(0).toString.toInt, r.get(1).toString.toInt)
-    }
-    fromEdges(edges)
-  }
-
-  /** Export to a canonical edge DataFrame with columns (edgeId, src, dst). */
-  def toDataFrame(g: CompactGraph, spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    (0 until g.m).map(e => (e, g.edgeU(e), g.edgeV(e))).toDF("edgeId", "src", "dst")
   }
 
   /** Insertion sort of the (adjV, adjE) parallel slice [from, until) by adjV.

@@ -41,6 +41,15 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
+  test("zero trials are rejected, not reduced to an empty maximum") {
+    val g = TestGraphs.random(16, 60, 71)
+    for (run <- Seq[Int => Long](Baselines.rand(spark, g, 2, _), Baselines.sup(spark, g, 2, _),
+                                 Baselines.tur(spark, g, 2, _))) {
+      val err = intercept[IllegalArgumentException](run(0))
+      assert(err.getMessage.contains("trials"), err.getMessage)
+    }
+  }
+
   test("clique graphs: all baselines report zero gain") {
     val g = TestGraphs.clique(6)
     assert(Baselines.rand(spark, g, 2, 5) == 0)

@@ -92,23 +92,45 @@ class LocalTrussSpec extends AnyFunSuite {
   }
 
   test("maximality: no edge outside the k-truss could survive within it") {
-    // the k-truss is the *maximal* subgraph: re-peeling edges of trussness
-    // k-1 against the k-truss must eliminate them
-    for (seed <- 1 to 10) {
-      val g = TestGraphs.random(12, 40, seed * 5)
-      val r = LocalTruss.decompose(g)
-      for (k <- 3 to r.kMax) {
-        val in = (0 until g.m).filter(r.truss(_) >= k).toSet
-        for (e <- 0 until g.m if r.truss(e) == k - 1) {
-          var sup = 0
-          g.foreachTriangle(e)((a, b) => if (in(a) && in(b)) sup += 1)
-          // a (k-1)-edge may have high support against the k-truss only if
-          // the peel killed it transitively; spot-check the simple bound:
-          // its support within its own truss level must be >= k-3
-          assert(r.truss(e) >= 2)
-          sup >= 0 // structural smoke; transitive maximality is checked via SparkTruss equivalence
+    // {e : t(e) >= k} must be the whole graph's k-truss, the fixed point of
+    // dropping edges one at a time, in a random order, with no sweeps
+    val rnd = new scala.util.Random(5)
+    val graphs = (1 to 10).map(seed => TestGraphs.random(12, 40, seed * 5)) :+
+      TestGraphs.disjointUnion(TestGraphs.random(13, 48, 3), TestGraphs.cycle(5),
+                               TestGraphs.random(14, 55, 43)) :+
+      GraphGen.graph("college")
+    for ((g, gi) <- graphs.zipWithIndex) {
+      val masks = Seq(new Array[Boolean](g.m), LocalTruss.anchorMask(g.m, Seq(0, g.m / 2)),
+                      Array.fill(g.m)(rnd.nextDouble() < 0.1))
+      for ((anchors, i) <- masks.zipWithIndex) {
+        val r = LocalTruss.decompose(g, anchors)
+        for (k <- 2 to r.kMax + 1) {
+          val want = fixedPointTruss(g, k, anchors, rnd.shuffle((0 until g.m).toVector))
+          val got = (0 until g.m).filter(r.truss(_) >= k).toSet
+          assert(got == want, s"graph $gi mask $i k=$k")
         }
       }
+    }
+  }
+
+  test("decompose equals a from-scratch sweep-by-sweep reference (trussness and layer)") {
+    val rnd = new scala.util.Random(29)
+    def noAnchors(g: CompactGraph) = (g, new Array[Boolean](g.m))
+    def twoAnchors(g: CompactGraph) = (g, LocalTruss.anchorMask(g.m, Seq(0, g.m / 2)))
+    def randomAnchors(g: CompactGraph) = (g, Array.fill(g.m)(rnd.nextDouble() < 0.05))
+    val unions = (1 to 2).map(s => TestGraphs.disjointUnion(
+      TestGraphs.random(13, 48, s), TestGraphs.cycle(5), TestGraphs.random(14, 55, s + 40)))
+    val inputs =
+      Seq(TestGraphs.clique(6), TestGraphs.cycle(7), TestGraphs.bowtieCliques(5)).map(noAnchors) ++
+      (1 to 4).map(s => noAnchors(TestGraphs.random(14, 45, 23 * s))) ++
+      (1 to 3).map(s => twoAnchors(TestGraphs.random(12, 40, 29 * s))) ++
+      ((1 to 6).map(s => TestGraphs.random(14, 50, 31 * s)) ++ unions :+ GraphGen.graph("college"))
+        .flatMap(g => Seq(noAnchors(g), randomAnchors(g)))
+    for (((g, anchors), i) <- inputs.zipWithIndex) {
+      val (truss, layer) = reference(g, anchors)
+      val r = LocalTruss.decompose(g, anchors)
+      val (sameTruss, sameLayer) = (r.truss.sameElements(truss), r.layer.sameElements(layer))
+      assert(sameTruss && sameLayer, s"input $i: same truss $sameTruss, same layer $sameLayer")
     }
   }
 
@@ -186,5 +208,55 @@ class LocalTrussSpec extends AnyFunSuite {
       assert(r1.truss.sameElements(r2.truss))
       assert(r1.layer.sameElements(r2.layer))
     }
+  }
+
+  /** The k-truss with `anchors` kept: starting from every edge, drop any
+    * non-anchor edge with fewer than k-2 triangles inside the remaining set,
+    * visiting edges in `order` and dropping each at once, until none is left.
+    */
+  private def fixedPointTruss(g: CompactGraph, k: Int, anchors: Array[Boolean],
+                              order: Seq[Int]): Set[Int] = {
+    val in = Array.fill(g.m)(true)
+    var changed = true
+    while (changed) {
+      changed = false
+      for (e <- order if in(e) && !anchors(e)) {
+        var sup = 0
+        g.foreachTriangle(e)((a, b) => if (in(a) && in(b)) sup += 1)
+        if (sup < k - 2) { in(e) = false; changed = true }
+      }
+    }
+    (0 until g.m).filter(in).toSet
+  }
+
+  /** Reference (truss, layer) from the k-truss definition (Cohen 2008) and the
+    * paper's sweeps. At the start of every sweep each live edge's support is
+    * recounted from the edge list, as its endpoints' common neighbours over
+    * live edges; every non-anchor edge with support <= k-2 is then removed at
+    * once with (k, sweep), and a sweep that removes nothing ends phase k.
+    * Anchors are never removed. Shares no code with `LocalTruss` or
+    * `CompactGraph.foreachTriangle`.
+    */
+  private def reference(g: CompactGraph, anchors: Array[Boolean]): (Array[Int], Array[Int]) = {
+    val truss = Array.fill(g.m)(LocalTruss.AnchorTruss)
+    val layer = new Array[Int](g.m)
+    val alive = Array.fill(g.m)(true)
+    var k = 2
+    var sweep = 0
+    while ((0 until g.m).exists(e => alive(e) && !anchors(e))) {
+      val nbrs = Array.fill(g.n)(Set.empty[Int])
+      for (e <- 0 until g.m if alive(e)) {
+        nbrs(g.edgeU(e)) += g.edgeV(e); nbrs(g.edgeV(e)) += g.edgeU(e)
+      }
+      val drop = (0 until g.m).filter { e =>
+        alive(e) && !anchors(e) && (nbrs(g.edgeU(e)) & nbrs(g.edgeV(e))).size <= k - 2
+      }
+      if (drop.isEmpty) { k += 1; sweep = 0 }
+      else {
+        sweep += 1
+        for (e <- drop) { alive(e) = false; truss(e) = k; layer(e) = sweep }
+      }
+    }
+    (truss, layer)
   }
 }
