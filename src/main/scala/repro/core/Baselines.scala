@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import repro.core.Sweep.{sweep, withGraph}
+import repro.core.Sweep.sweep
 import repro.graph.CompactGraph
 import repro.truss.LocalTruss
 import scala.util.Random
@@ -15,8 +15,8 @@ import scala.util.Random
   *
   * Each baseline runs `trials` independent draws and reports the *maximum*
   * trussness gain achieved, like the paper (which uses 2000 draws; we use a
-  * smaller, Spark-parallelized count — see DESIGN.md §3). Every trial is an
-  * exact anchored truss decomposition over the broadcast graph.
+  * smaller count — see DESIGN.md §3). Every trial is an exact anchored truss
+  * decomposition; the trials run in one [[Sweep.sweep]].
   */
 object Baselines {
 
@@ -26,12 +26,10 @@ object Baselines {
     require(trials >= 1, s"trials must be at least 1, got $trials")
     val base = LocalTruss.decompose(g)
     val k = math.min(b, pool.length)
-    withGraph(spark.sparkContext, g) { gB =>
-      sweep(spark.sparkContext, gB, 0 until trials) { graph => trial =>
-        val picked = new Random(seed * 1000003L + trial).shuffle(pool.toVector).take(k)
-        LocalTruss.trussGain(graph, base, LocalTruss.anchorMask(graph.m, picked))
-      }.max
-    }
+    sweep(spark, 0 until trials) { trial =>
+      val picked = new Random(seed * 1000003L + trial).shuffle(pool.toVector).take(k)
+      LocalTruss.trussGain(g, base, LocalTruss.anchorMask(g.m, picked))
+    }.max
   }
 
   def rand(spark: SparkSession, g: CompactGraph, b: Int, trials: Int, seed: Long = 7L): Long =

@@ -1,9 +1,7 @@
 package repro.core
 
-import org.apache.spark.SparkContext
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
-import repro.core.Sweep.{sweep, withGraph}
+import repro.core.Sweep.sweep
 import repro.graph.CompactGraph
 import repro.truss.LocalTruss
 import scala.collection.mutable
@@ -23,13 +21,13 @@ import scala.collection.mutable
   * GAS ≡ BASE+ ≡ BASE.
   *
   * The per-round candidate sweep (`for each e ∈ E\A`) is the bulk-parallel
-  * part: each scorer evaluates its candidates with [[Sweep.sweep]] over the
-  * broadcast [[CompactGraph]]; the driver keeps only the greedy selection
-  * and (for GAS) the tree/reuse bookkeeping.
+  * part: each scorer evaluates its candidates with [[Sweep.sweep]] on
+  * driver threads over the shared [[CompactGraph]]; the greedy selection
+  * and (for GAS) the tree/reuse bookkeeping run on the calling thread.
   */
 object Greedy {
 
-  /** Per-round bookkeeping: candidates evaluated on Spark vs fully reused
+  /** Per-round bookkeeping: candidates evaluated by the sweep vs fully reused
     * from the cache (GAS), and the round's marginal gain.
     */
   final case class RoundStats(round: Int, anchor: Int, marginalGain: Long,
@@ -57,52 +55,48 @@ object Greedy {
   /** The loop of Algorithms 2 and 6: score every non-anchored edge, anchor
     * the best, repeat `b` times (or until every edge is an anchor).
     */
-  private def greedy(spark: SparkSession, g: CompactGraph, b: Int)
-                    (scorer: Broadcast[CompactGraph] => Scorer): Result =
-    withGraph(spark.sparkContext, g) { gB =>
-      val s = scorer(gB)
-      val anchors = new Array[Boolean](g.m)
-      val rounds = (1 to math.min(b, g.m)).map { round =>
-        val t0 = System.nanoTime()
-        val candidates = (0 until g.m).filterNot(anchors(_))
-        val (scores, reused) = s.score(candidates, anchors)
-        // maxBy keeps the first maximum: the smallest edge id among the best
-        val best = scores.indices.maxBy(scores(_))
-        val x = candidates(best)
-        anchors(x) = true
-        s.anchored(x, anchors)
-        RoundStats(round, x, scores(best), candidates.size - reused, reused,
-                   (System.nanoTime() - t0) / 1000000)
-      }
-      Result(rounds.map(_.anchor), LocalTruss.trussGain(g, LocalTruss.decompose(g), anchors), rounds)
+  private def greedy(g: CompactGraph, b: Int)(scorer: Scorer): Result = {
+    val anchors = new Array[Boolean](g.m)
+    val rounds = (1 to math.min(b, g.m)).map { round =>
+      val t0 = System.nanoTime()
+      val candidates = (0 until g.m).filterNot(anchors(_))
+      val (scores, reused) = scorer.score(candidates, anchors)
+      // maxBy keeps the first maximum: the smallest edge id among the best
+      val best = scores.indices.maxBy(scores(_))
+      val x = candidates(best)
+      anchors(x) = true
+      scorer.anchored(x, anchors)
+      RoundStats(round, x, scores(best), candidates.size - reused, reused,
+                 (System.nanoTime() - t0) / 1000000)
     }
+    Result(rounds.map(_.anchor), LocalTruss.trussGain(g, LocalTruss.decompose(g), anchors), rounds)
+  }
 
   /** Algorithm 2: full truss decomposition per candidate per round. */
   def base(spark: SparkSession, g: CompactGraph, b: Int): Result =
-    greedy(spark, g, b) { gB => (candidates, anchors) =>
+    greedy(g, b) { (candidates, anchors) =>
       val dec = LocalTruss.decompose(g, anchors)
-      val gains = sweep(spark.sparkContext, gB, candidates) { graph => e =>
+      val gains = sweep(spark, candidates) { e =>
         val mask = anchors.clone(); mask(e) = true
-        LocalTruss.trussGain(graph, dec, mask)
+        LocalTruss.trussGain(g, dec, mask)
       }
       (gains, 0)
     }
 
   /** BASE with upward-route/support-check follower computation (Alg. 3). */
   def basePlus(spark: SparkSession, g: CompactGraph, b: Int): Result =
-    greedy(spark, g, b) { gB => (candidates, anchors) =>
+    greedy(g, b) { (candidates, anchors) =>
       val dec = LocalTruss.decompose(g, anchors)
-      val (t, l) = (dec.truss, dec.layer)
-      val counts = sweep(spark.sparkContext, gB, candidates) { graph =>
-        val finder = new FollowerFinder(graph)
-        e => finder.find(t, l, e).count.toLong
+      val counts = sweep(spark, candidates) {
+        val finder = new FollowerFinder(g)
+        e => finder.find(dec.truss, dec.layer, e).count.toLong
       }
       (counts, 0)
     }
 
   /** Algorithm 6: greedy with tree-based cross-round result reuse. */
   def gas(spark: SparkSession, g: CompactGraph, b: Int): Result =
-    greedy(spark, g, b)(gB => new GasScorer(spark.sparkContext, gB, g))
+    greedy(g, b)(new GasScorer(spark, g))
 
   /** GAS's scorer: per-node follower counts cached across rounds, with only
     * the tree nodes invalidated by the last anchor (Algorithm 5) recomputed.
@@ -112,8 +106,7 @@ object Greedy {
     * every other edge keeps last round's score and a round re-scans only
     * comp(x)'s edges.
     */
-  private final class GasScorer(sc: SparkContext, gB: Broadcast[CompactGraph],
-                                g: CompactGraph) extends Scorer {
+  private final class GasScorer(spark: SparkSession, g: CompactGraph) extends Scorer {
     private var state = FollowerReuse.initial(g, new Array[Boolean](g.m))
     // cachedCount(e)(j): follower count of e within node cachedSla(e)(j),
     // where cachedSla(e) is sla(e) as of e's last evaluation; both null when
@@ -144,23 +137,16 @@ object Greedy {
           else scores(e) = state.sla(e).iterator.map(cached(e, _).toLong).sum
         }
       }
-      if (toCompute.nonEmpty) {
-        val (t, l, nodeOf) = (state.truss, state.layer, state.tree.nodeOf)
-        val fresh = sweep(sc, gB, toCompute.toIndexedSeq) { graph =>
-          val finder = new FollowerFinder(graph)
-          (item: (Int, Array[Int])) => {
-            val (e, staleIds) = item
-            val allow: Int => Boolean = if (staleIds == null) null else has(staleIds, _)
-            finder.find(t, l, e, nodeOf, allow).perNode
-          }
-        }
-        toCompute.lazyZip(fresh).foreach { case ((e, staleIds), perNode) =>
-          val sla = state.sla(e)
-          val counts = sla.map { id =>
-            if (staleIds == null || has(staleIds, id)) perNode.getOrElse(id, 0)
-            else cached(e, id)
-          }
-          cachedSla(e) = sla
+      // each item writes only its own edge's cache entries and score
+      sweep(spark, toCompute) {
+        val finder = new FollowerFinder(g)
+        (item: (Int, Array[Int])) => {
+          val (e, staleIds) = item
+          val allow: Int => Boolean = if (staleIds == null) null else has(staleIds, _)
+          val perNode = finder.find(state.truss, state.layer, e, state.tree.nodeOf, allow).perNode
+          val counts = state.sla(e).map(id =>
+            if (allow == null || allow(id)) perNode.getOrElse(id, 0) else cached(e, id))
+          cachedSla(e) = state.sla(e)
           cachedCount(e) = counts
           scores(e) = counts.iterator.map(_.toLong).sum
         }
@@ -184,17 +170,14 @@ object Greedy {
   /** Whether the ascending `ids` contain `id`. */
   private def has(ids: Array[Int], id: Int): Boolean = java.util.Arrays.binarySearch(ids, id) >= 0
 
-  /** Route sizes of every edge in round one (Table IV / the Tur baseline):
-    * computed Spark-parallel over the broadcast graph.
+  /** Route sizes of every edge in round one (Table IV / the Tur baseline),
+    * computed with one [[Sweep.sweep]] over all edges.
     */
   def routeSizes(spark: SparkSession, g: CompactGraph): Array[Int] = {
     val dec = LocalTruss.decompose(g)
-    val (t, l) = (dec.truss, dec.layer)
-    withGraph(spark.sparkContext, g) { gB =>
-      sweep(spark.sparkContext, gB, 0 until g.m) { graph =>
-        val finder = new FollowerFinder(graph)
-        e => finder.find(t, l, e).routeSize
-      }
+    sweep(spark, 0 until g.m) {
+      val finder = new FollowerFinder(g)
+      e => finder.find(dec.truss, dec.layer, e).routeSize
     }
   }
 }

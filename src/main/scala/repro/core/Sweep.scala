@@ -1,35 +1,49 @@
 package repro.core
 
-import org.apache.spark.SparkContext
-import org.apache.spark.broadcast.Broadcast
-import repro.graph.CompactGraph
+import java.util.concurrent.atomic.AtomicReference
+import org.apache.spark.sql.SparkSession
 import scala.reflect.ClassTag
 
-/** The one Spark-parallel primitive of the ATR algorithms: evaluate a
-  * function of the graph on every item of a list (candidate edges, random
-  * trials, anchor combinations) and collect the results in item order.
+/** The one parallel primitive of the ATR algorithms: evaluate a function on
+  * every item of a list (candidate edges, random trials, anchor
+  * combinations) and return the results in item order.
   *
-  * The graph travels as a broadcast that [[withGraph]] creates once per
-  * public call and destroys when the call ends. Anything else a task needs
-  * (trussness, layers, tree node ids, an anchor mask) rides in the `perTask`
-  * closure, which Spark ships once per stage. Items are split with
-  * `parallelize`, so there is no shuffle and no encoder.
+  * It runs on driver threads over the one shared, immutable
+  * [[repro.graph.CompactGraph]] that callers close over. Items are cut into
+  * static contiguous chunks, one per worker, and each result is written to
+  * its item's index, so the output does not depend on the number of workers.
   */
 object Sweep {
 
-  /** Run `body` with `g` broadcast; the broadcast is destroyed afterwards. */
-  def withGraph[R](sc: SparkContext, g: CompactGraph)(body: Broadcast[CompactGraph] => R): R = {
-    val gB = sc.broadcast(g)
-    try body(gB) finally gB.destroy()
-  }
+  /** Sweep on `min(defaultParallelism, availableProcessors)` workers. */
+  def sweep[A, B: ClassTag](spark: SparkSession, items: collection.IndexedSeq[A])(perWorker: => A => B): Array[B] =
+    sweep(math.min(spark.sparkContext.defaultParallelism, Runtime.getRuntime.availableProcessors),
+          items)(perWorker)
 
-  /** `perTask(graph)` runs once per non-empty task (build task-local
-    * workspace there) and returns the per-item function.
+  /** Sweep on at most `width` (>= 1) workers, one per non-empty chunk.
+    * `perWorker` is evaluated once per worker (build the worker's workspace
+    * there) and returns the per-item function. Every worker has ended when
+    * this returns or throws; the first exception a worker throws is
+    * rethrown as it is.
     */
-  def sweep[A: ClassTag, B: ClassTag](sc: SparkContext, gB: Broadcast[CompactGraph], items: Seq[A])
-                                     (perTask: CompactGraph => A => B): Array[B] =
-    sc.parallelize(items, sc.defaultParallelism).mapPartitions { it =>
-      lazy val f = perTask(gB.value)
-      it.map(a => f(a))
-    }.collect()
+  private[core] def sweep[A, B: ClassTag](width: Int, items: collection.IndexedSeq[A])(perWorker: => A => B): Array[B] = {
+    val n = items.size
+    val out = new Array[B](n)
+    val t = math.min(width, n)
+    val failure = new AtomicReference[Throwable]
+    val workers = Array.tabulate(t) { c =>
+      new Thread(() =>
+        try {
+          val f = perWorker
+          var i = (c.toLong * n / t).toInt
+          val end = ((c + 1).toLong * n / t).toInt
+          while (i < end) { out(i) = f(items(i)); i += 1 }
+        } catch { case e: Throwable => failure.compareAndSet(null, e) },
+        s"sweep-$c")
+    }
+    try workers.foreach(_.start())
+    finally workers.foreach(_.join())
+    if (failure.get != null) throw failure.get
+    out
+  }
 }

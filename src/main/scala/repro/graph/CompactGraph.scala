@@ -9,9 +9,8 @@ package repro.graph
   * sorted runs.
   *
   * This is the one graph representation: generators build it, and every
-  * decomposition, tree and sweep reads it. It is serializable and small
-  * (5 int arrays), so it is broadcast to executors for the bulk-parallel
-  * follower computations.
+  * decomposition, tree and sweep reads it. It is never mutated, so the
+  * worker threads of a [[repro.core.Sweep]] share one instance.
   *
   * @param n      number of vertices
   * @param m      number of edges
@@ -29,7 +28,7 @@ final class CompactGraph(
     val adjOff: Array[Int],
     val adjV: Array[Int],
     val adjE: Array[Int],
-) extends Serializable {
+) {
 
   /** Degree of vertex u. */
   def degree(u: Int): Int = adjOff(u + 1) - adjOff(u)
@@ -73,6 +72,7 @@ object CompactGraph {
     * deterministic for a given edge set.
     */
   def fromEdges(raw: Iterable[(Int, Int)]): CompactGraph = {
+    for ((a, b) <- raw) require(a >= 0 && b >= 0, s"vertex ids must be >= 0, got edge ($a, $b)")
     val canon = raw.iterator
       .filter { case (a, b) => a != b }
       .map { case (a, b) => if (a < b) (a, b) else (b, a) }

@@ -14,8 +14,8 @@ import repro.graph.CompactGraph
   *    never removed, keep providing triangles at every phase, and receive
   *    `truss = Int.MaxValue`, `layer = 0` in the output.
   *
-  * This is the one truss decomposition: it runs on the driver and inside
-  * Spark tasks (over a broadcast [[CompactGraph]]). Each phase k rescans its
+  * This is the one truss decomposition: it runs on the calling thread and
+  * inside the worker threads of a candidate sweep. Each phase k rescans its
   * edge list once and each removal walks O(deg u + deg v), so a peel costs
   * O(k_max·m + Σ_v deg(v)²). The test suite checks it against a reference
   * that recomputes every support from scratch at each sweep.

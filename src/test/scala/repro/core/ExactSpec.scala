@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
-import repro.graph.GraphGen
+import repro.graph.{CompactGraph, GraphGen}
 import repro.truss.LocalTruss
 import scala.math.Ordering.Implicits.seqOrdering
 
@@ -33,6 +33,27 @@ class ExactSpec extends SparkSpec {
     val ex = Exact.run(spark, g, 2)
     assert(ex.anchors == tied.min, s"tied=$tied")
     assert(ex.gain == best)
+  }
+
+  test("Exact b=3 streams every subset: it counts C(m, 3) and matches brute force") {
+    val g = TestGraphs.random(9, 16, 41)
+    val base = LocalTruss.decompose(g)
+    val combos = (0 until g.m).combinations(3).toIndexedSeq
+    val gains = combos.map(c => LocalTruss.trussGain(g, base, LocalTruss.anchorMask(g.m, c)))
+    val ex = Exact.run(spark, g, 3)
+    assert(ex.combosTried == combos.size)
+    assert(ex.gain == gains.max)
+    assert(ex.anchors == combos.zip(gains).collect { case (c, gain) if gain == gains.max => c }.min)
+  }
+
+  test("Exact caps a budget above the edge count at m and rejects a negative budget") {
+    val g = TestGraphs.random(8, 12, 5)
+    for (b <- Seq(g.m, g.m + 1, g.m + 5))
+      assert(Exact.run(spark, g, b) == Exact.Result(0 until g.m, 0L, 1L), s"b=$b")
+    assert(Exact.run(spark, g, 0) == Exact.Result(Seq.empty, 0L, 1L))
+    assert(Exact.run(spark, CompactGraph.fromEdges(Nil), 2) == Exact.Result(Seq.empty, 0L, 1L))
+    val err = intercept[IllegalArgumentException](Exact.run(spark, g, -1))
+    assert(err.getMessage.contains("b must be non-negative"))
   }
 
   test("Exact b=2 dominates GAS b=2") {

@@ -118,7 +118,7 @@ class GreedySpec extends SparkSpec {
     val g = TestGraphs.clique(4) // 6 edges
     val rg = Greedy.gas(spark, g, 10)
     assert(rg.anchors.size == g.m)
-    // the last round sweeps one candidate, fewer than the partitions
+    // the last round sweeps one candidate, fewer than the sweep's workers
     for ((name, variant) <- variants) {
       val r = variant(spark, g, 10)
       assert(r.anchors.sorted == (0 until g.m) && r.gain == 0, s"$name: ${r.anchors}")

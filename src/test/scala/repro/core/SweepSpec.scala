@@ -1,32 +1,37 @@
 package repro.core
 
-import org.apache.spark.GraphBroadcasts
-import org.scalatest.concurrent.Eventually
-import org.scalatest.time.{Seconds, Span}
-import repro.{SparkSpec, TestGraphs}
+import java.util.concurrent.ConcurrentLinkedQueue
+import org.scalatest.funsuite.AnyFunSuite
+import scala.jdk.CollectionConverters._
 
-/** Every public entry point that sweeps over a broadcast graph destroys the
-  * broadcast before it returns, so a long session does not pile up graph
-  * copies in the driver's block store.
+/** The thread sweep: results in item order whatever the width, one
+  * workspace per non-empty chunk, exceptions passed through as they are,
+  * and no worker left running once the call ends.
   */
-class SweepSpec extends SparkSpec with Eventually {
+class SweepSpec extends AnyFunSuite {
 
-  // Broadcast.destroy() is asynchronous
-  implicit override val patienceConfig: PatienceConfig = PatienceConfig(timeout = Span(5, Seconds))
+  private final class Boom extends RuntimeException("boom")
 
-  test("entry points leave no graph broadcast behind") {
-    val g = TestGraphs.random(12, 35, 17)
-    val calls = Seq[(String, () => Any)](
-      "base"           -> (() => Greedy.base(spark, g, 2)),
-      "basePlus"       -> (() => Greedy.basePlus(spark, g, 2)),
-      "gas"            -> (() => Greedy.gas(spark, g, 2)),
-      "routeSizes"     -> (() => Greedy.routeSizes(spark, g)),
-      "Baselines.rand" -> (() => Baselines.rand(spark, g, 2, 4)),
-      "Exact.run"      -> (() => Exact.run(spark, g, 1)),
-    )
-    for ((name, call) <- calls) {
-      call()
-      eventually { assert(GraphBroadcasts.held().isEmpty, s"after $name") }
+  test("a sweep returns items.map(f) in order and builds one workspace per non-empty chunk") {
+    for (width <- Seq(1, 2, 3, 4, 7); n <- Seq(0, 1, 3, 100)) {
+      val items = Vector.tabulate(n)(i => i * 31 % 17)
+      val workspaces = new ConcurrentLinkedQueue[Thread]
+      val got = Sweep.sweep(width, items) { workspaces.add(Thread.currentThread()); (x: Int) => x * x + 1 }
+      assert(got.toSeq == items.map(x => x * x + 1), s"width=$width n=$n")
+      assert(workspaces.size == math.min(width, n), s"width=$width n=$n")
     }
+  }
+
+  test("an exception from an item or a workspace reaches the caller unwrapped; no worker outlives the call") {
+    val workers = new ConcurrentLinkedQueue[Thread]
+    def run(workspace: => Unit, item: Int => Unit): Unit = {
+      workers.clear()
+      try Sweep.sweep(4, 0 until 8) { workers.add(Thread.currentThread()); workspace; item }
+      finally assert(workers.size == 4 && workers.asScala.forall(!_.isAlive))
+    }
+    run((), _ => ())
+    // item 0 fails at once while the other chunks are still sleeping
+    intercept[Boom](run((), i => if (i == 0) throw new Boom else Thread.sleep(50)))
+    intercept[Boom](run(throw new Boom, _ => ()))
   }
 }

@@ -83,6 +83,12 @@ class CompactGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("negative vertex ids are rejected with the offending edge") {
+    for ((u, v) <- Seq((-1, 2), (3, -4), (-5, -5)))
+      assert(intercept[IllegalArgumentException](CompactGraph.fromEdges(Seq((0, 1), (u, v))))
+        .getMessage.contains(s"got edge ($u, $v)"))
+  }
+
   test("empty and tiny graphs") {
     val empty = CompactGraph.fromEdges(Nil)
     assert(empty.m == 0 && empty.n == 0)
